@@ -237,24 +237,6 @@ func (m *Mask) CountExcluding(subs ...*Mask) int64 {
 	return c
 }
 
-// ForEachExcluding calls fn for every bit set in m but in none of subs,
-// ascending. The word value is snapshotted before iteration, so fn may set
-// bits in subs without affecting the current word's traversal.
-func (m *Mask) ForEachExcluding(fn func(i int64), subs ...*Mask) {
-	for wi, w := range m.words {
-		for _, s := range subs {
-			m.mustMatch(s)
-			w &^= s.words[wi]
-		}
-		base := int64(wi) * wordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(base + int64(tz))
-			w &= w - 1
-		}
-	}
-}
-
 // ReduceOr ORs all src masks word-wise into dst. It is the reference
 // implementation of the delegate mask reduction (paper §V-A); the MPI layer
 // performs the same fold across ranks.

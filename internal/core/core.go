@@ -547,7 +547,6 @@ func (p *Plan) newSession() *Session {
 			visited:       bitmask.New(s.d),
 			dFront:        bitmask.New(s.d),
 			newMask:       bitmask.New(s.d),
-			scratch:       bitmask.New(s.d),
 			bins:          frontier.NewBins(s.p),
 			isNDSource:    make([]bool, pg.NumLocal),
 		}
@@ -619,8 +618,7 @@ type gpuState struct {
 	visited  *bitmask.Mask // delegates visited as of iteration start
 	dFront   *bitmask.Mask // delegate frontier (newly visited last iteration)
 	newMask  *bitmask.Mask // local delegate discoveries this iteration
-	scratch  *bitmask.Mask
-	inFront  []uint32 // local normal frontier
+	inFront  []uint32      // local normal frontier
 	outFront []uint32
 	bins     *frontier.Bins
 

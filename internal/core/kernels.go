@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/simgpu"
 )
@@ -10,6 +12,13 @@ import (
 // four visit kernels in their forward (push) and backward (pull) variants,
 // and the per-subgraph direction decisions.
 //
+// The delegate half works on mask words, the way the paper's delegates are
+// single bits in globally consistent masks (§IV-A, §V-A): "we keep source
+// masks for the dd and dn subgraphs" (§IV), so previsit ANDs each word of
+// the delegate frontier with the GPU's dd/dn source masks, and the backward
+// kernels walk source-mask &^ visited a word at a time. Delegates without
+// local edges are skipped 64 at a time and never looked up.
+//
 // Work is counted exactly: forward kernels scan every neighbor of every
 // queued source; backward kernels count parent checks until the first
 // visited parent. The counts drive both the direction decisions (FV vs BV)
@@ -17,7 +26,9 @@ import (
 
 // previsitOut carries queue and workload info from the previsit kernels.
 type previsitOut struct {
-	// Delegate-sourced queues (dense delegate ids with local edges).
+	// Delegate-sourced queues: frontier delegates with local dd (qDD) or dn
+	// (qDN) edges, ascending — the words of dFront ANDed with the GPU's
+	// dd/dn source masks.
 	qDD, qDN []int64
 	// Forward workloads per subgraph: Σ out-degrees of queued sources.
 	fvDD, fvDN, fvND, fvNN int64
@@ -32,27 +43,36 @@ type previsitOut struct {
 func (e *Session) previsit(gs *gpuState) previsitOut {
 	var out previsitOut
 	// Delegate previsit: scan the (globally consistent) delegate frontier
-	// and keep delegates with local dd or dn edges. The queues are rebuilt
-	// every super-step, so they draw on the GPU state's persistent buffers.
+	// a word at a time; ANDing each word with the dd/dn source masks keeps
+	// exactly the delegates with local dd or dn edges, so zero-degree rows
+	// are never looked up. The queues are rebuilt every super-step, so they
+	// draw on the GPU state's persistent buffers.
 	out.qDD, out.qDN = gs.qDDBuf[:0], gs.qDNBuf[:0]
+	front := gs.dFront.Words()
+	ddSrc, dnSrc := gs.pg.DDSourceMask.Words(), gs.pg.DNSourceMask.Words()
+	ddOff, dnOff := gs.pg.DD.RowOffsets, gs.pg.DN.RowOffsets
 	frontierBits := int64(0)
-	gs.dFront.ForEach(func(di int64) {
-		frontierBits++
-		if ddDeg := gs.pg.DD.Degree(di); ddDeg > 0 {
+	for wi, fw := range front {
+		if fw == 0 {
+			continue
+		}
+		frontierBits += int64(bits.OnesCount64(fw))
+		base := int64(wi) * 64
+		for w := fw & ddSrc[wi]; w != 0; w &= w - 1 {
+			di := base + int64(bits.TrailingZeros64(w))
+			deg := int64(ddOff[di+1] - ddOff[di])
 			out.qDD = append(out.qDD, di)
-			out.fvDD += ddDeg
-			if ddDeg > out.maxDD {
-				out.maxDD = ddDeg
-			}
+			out.fvDD += deg
+			out.maxDD = max(out.maxDD, deg)
 		}
-		if dnDeg := gs.pg.DN.Degree(di); dnDeg > 0 {
+		for w := fw & dnSrc[wi]; w != 0; w &= w - 1 {
+			di := base + int64(bits.TrailingZeros64(w))
+			deg := int64(dnOff[di+1] - dnOff[di])
 			out.qDN = append(out.qDN, di)
-			out.fvDN += dnDeg
-			if dnDeg > out.maxDN {
-				out.maxDN = dnDeg
-			}
+			out.fvDN += deg
+			out.maxDN = max(out.maxDN, deg)
 		}
-	})
+	}
 	gs.qDDBuf, gs.qDNBuf = out.qDD, out.qDN // retain grown capacity
 	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
 		Vertices: frontierBits + e.d/64, Strategy: simgpu.TWBDynamic,
@@ -154,32 +174,37 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
 	if e.opts.ForceTWBForDD {
 		strategy = simgpu.TWBDynamic
 	}
+	nm := gs.newMask.Words()
 	if gs.dirDD == metrics.Forward {
+		// Forward push: mark every neighbour; runKernels clears the
+		// already-visited ones from the mask in one word-wise pass.
 		for _, u := range pv.qDD {
-			for _, dv := range gs.pg.DD.Neighbors(u) {
-				edges++
-				dvi := int64(dv)
-				if !gs.visited.Get(dvi) {
-					gs.newMask.Set(dvi)
-				}
+			row := gs.pg.DD.Neighbors(u)
+			edges += int64(len(row))
+			for _, dv := range row {
+				nm[dv/64] |= 1 << (dv % 64)
 			}
 		}
 		vertices = int64(len(pv.qDD))
 	} else {
-		// Backward pull: unvisited delegates with local dd edges check
-		// their local parents against the visited mask (depth ≤ iter).
-		gs.scratch.CopyFrom(gs.pg.DDSourceMask)
-		gs.scratch.AndNot(gs.visited)
-		gs.scratch.ForEach(func(u int64) {
-			vertices++
-			for _, dv := range gs.pg.DD.Neighbors(u) {
-				edges++
-				if gs.visited.Get(int64(dv)) {
-					gs.newMask.Set(u)
-					break
+		// Backward pull: unvisited delegates with local dd edges
+		// (DDSourceMask &^ visited, a word at a time) check their local
+		// parents against the visited mask (depth ≤ iter).
+		vis, src := gs.visited.Words(), gs.pg.DDSourceMask.Words()
+		for wi, sw := range src {
+			base := int64(wi) * 64
+			for w := sw &^ vis[wi]; w != 0; w &= w - 1 {
+				tz := bits.TrailingZeros64(w)
+				vertices++
+				for _, dv := range gs.pg.DD.Neighbors(base + int64(tz)) {
+					edges++
+					if vis[dv/64]&(1<<(dv%64)) != 0 {
+						nm[wi] |= 1 << tz
+						break
+					}
 				}
 			}
-		})
+		}
 		vertices += e.d / 64
 	}
 	gs.it.edgesScanned += edges
@@ -193,35 +218,39 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
 func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 	var edges, vertices int64
 	var skew float64
+	nm := gs.newMask.Words()
 	if gs.dirND == metrics.Forward {
+		// Forward push: as kernelDD, visited bits are cleared afterwards.
 		for _, u := range gs.inFront {
-			for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
-				edges++
-				dvi := int64(dv)
-				if !gs.visited.Get(dvi) {
-					gs.newMask.Set(dvi)
-				}
+			row := gs.pg.ND.Neighbors(int64(u))
+			edges += int64(len(row))
+			for _, dv := range row {
+				nm[dv/64] |= 1 << (dv % 64)
 			}
 		}
 		vertices = int64(len(gs.inFront))
 		skew = rowSkew(pv.maxND, pv.fvND, vertices)
 	} else {
-		// Backward: unvisited delegates with local dn edges look for a
-		// visited local normal parent (depth ≤ iter; this iteration's
-		// discoveries are iter+1 and must not count).
-		gs.scratch.CopyFrom(gs.pg.DNSourceMask)
-		gs.scratch.AndNot(gs.visited)
-		gs.scratch.AndNot(gs.newMask) // already found by dd this iteration
-		gs.scratch.ForEach(func(u int64) {
-			vertices++
-			for _, lv := range gs.pg.DN.Neighbors(u) {
-				edges++
-				if lvl := gs.levels[lv]; lvl >= 0 && lvl <= iter {
-					gs.newMask.Set(u)
-					break
+		// Backward: unvisited delegates with local dn edges not already
+		// found by dd this iteration (DNSourceMask &^ visited &^ newMask,
+		// each word taken before its bits are set) look for a visited
+		// local normal parent (depth ≤ iter; this iteration's discoveries
+		// are iter+1 and must not count).
+		vis, src := gs.visited.Words(), gs.pg.DNSourceMask.Words()
+		for wi, sw := range src {
+			base := int64(wi) * 64
+			for w := sw &^ vis[wi] &^ nm[wi]; w != 0; w &= w - 1 {
+				tz := bits.TrailingZeros64(w)
+				vertices++
+				for _, lv := range gs.pg.DN.Neighbors(base + int64(tz)) {
+					edges++
+					if lvl := gs.levels[lv]; lvl >= 0 && lvl <= iter {
+						nm[wi] |= 1 << tz
+						break
+					}
 				}
 			}
-		})
+		}
 		vertices += e.d / 64
 	}
 	gs.it.edgesScanned += edges
@@ -321,6 +350,9 @@ func (e *Session) runKernels(gs *gpuState, iter int32, qD, sD int64) previsitOut
 	// Delegate stream: dd then nd (both write the delegate mask).
 	e.kernelDD(gs, pv)
 	e.kernelND(gs, pv, iter)
+	// The forward variants mark neighbours untested; one word-wise pass
+	// leaves only this iteration's discoveries for the mask reduction.
+	gs.newMask.AndNot(gs.visited)
 	// Normal stream: dn then nn (both write the normal frontier).
 	e.kernelDN(gs, pv, iter)
 	e.kernelNN(gs, pv, iter)

@@ -69,25 +69,15 @@ func corruptErr(context string, err error) error {
 	return fmt.Errorf("%s: %v: %w", context, err, wire.ErrCorrupt)
 }
 
-// faultError classifies a recovered panic value: it returns the error when
-// the value is a contained fault (corrupt payload or injected failure), nil
-// for anything else.
-func faultError(v any) error {
-	err, ok := v.(error)
-	if !ok {
-		return nil
-	}
-	if errors.Is(err, wire.ErrCorrupt) || errors.Is(err, faults.ErrInjected) {
-		return err
-	}
-	return nil
-}
-
-// containRank is the recover boundary deferred by every per-rank goroutine.
-// A contained fault poisons the world, aborting every sibling rank; the
-// secondary abort panics those siblings throw while unwinding are swallowed
-// (the first fault already carries the error); everything else re-panics.
-func containRank(world *mpi.World, rank int) {
+// ContainRank is the recover boundary every per-rank goroutine defers
+// directly (defer ContainRank(world, "core", rank)) — core's BSP loops and
+// the concomp and pagerank engines alike. A contained fault poisons the
+// world with an error prefixed "<scope>: rank <rank>:", aborting every
+// sibling rank; the secondary abort panics those siblings throw while
+// unwinding are swallowed (the first fault already carries the error);
+// everything else re-panics. Only errors wrapping wire.ErrCorrupt or
+// faults.ErrInjected are contained (see the file comment).
+func ContainRank(world *mpi.World, scope string, rank int) {
 	v := recover()
 	if v == nil {
 		return
@@ -95,8 +85,8 @@ func containRank(world *mpi.World, rank int) {
 	if _, ok := mpi.AbortError(v); ok {
 		return
 	}
-	if err := faultError(v); err != nil {
-		world.Abort(fmt.Errorf("core: rank %d: %w", rank, err))
+	if err, ok := v.(error); ok && (errors.Is(err, wire.ErrCorrupt) || errors.Is(err, faults.ErrInjected)) {
+		world.Abort(fmt.Errorf("%s: rank %d: %w", scope, rank, err))
 		return
 	}
 	panic(v)

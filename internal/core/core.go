@@ -29,7 +29,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -639,8 +638,8 @@ type gpuState struct {
 	// repSeeds/repCursor are the repair traversal's per-GPU corrective seed
 	// schedule: still-valid local vertices sorted by (level, id), injected
 	// into the frontier when the level-synchronous wave reaches their level
-	// (repair.go). Empty outside RunRepair; capacity persists across pooled
-	// queries.
+	// (repair.go). Rebuilt and read only by repair queries; capacity
+	// persists across pooled queries.
 	repSeeds  []repairSeed
 	repCursor int
 
@@ -690,50 +689,3 @@ func (e *Session) reset() {
 	e.parentPairRawBytes = 0
 	e.parentPairWireBytes = 0
 }
-
-// Engine is the original single-query facade over one partitioned graph,
-// kept for compatibility. It is a thin wrapper that routes every call
-// through a Plan with empty overrides and a background context.
-//
-// Deprecated: new code should build a Plan with NewPlan and use Plan.Run /
-// Plan.RunBatch, which add context cancellation, per-query overrides and
-// concurrent execution over pooled sessions.
-type Engine struct {
-	plan *Plan
-}
-
-// NewEngine validates that the partitioned graph matches the cluster shape
-// and prepares per-GPU state. See the Engine deprecation note.
-func NewEngine(sg *partition.Subgraphs, shape ClusterShape, opts Options) (*Engine, error) {
-	plan, err := NewPlan(sg, shape, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{plan: plan}, nil
-}
-
-// Plan returns the underlying query plan (the migration path off Engine).
-func (e *Engine) Plan() *Plan { return e.plan }
-
-// Run executes one BFS from source with the engine's base options.
-func (e *Engine) Run(source int64) (*metrics.RunResult, error) {
-	return e.plan.Run(context.Background(), source, Overrides{})
-}
-
-// RunMany executes one run per source, serially.
-func (e *Engine) RunMany(sources []int64) ([]*metrics.RunResult, error) {
-	return e.plan.RunBatch(context.Background(), sources, 1, Overrides{})
-}
-
-// Shape returns the engine's cluster shape.
-func (e *Engine) Shape() ClusterShape { return e.plan.Shape() }
-
-// Graph returns the distributed graph the engine runs on.
-func (e *Engine) Graph() *partition.Subgraphs { return e.plan.Graph() }
-
-// Options returns the engine's option set.
-func (e *Engine) Options() Options { return e.plan.Options() }
-
-// MemoryOK reports whether every simulated GPU's subgraph storage fits the
-// device memory model (§III-C's processing-scale bound).
-func (e *Engine) MemoryOK() bool { return e.plan.MemoryOK() }

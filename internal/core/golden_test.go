@@ -110,6 +110,6 @@ func TestSimClockGoldenPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPin(t, "repair", pinOf(rep), clockPin{359072, 0x3f3173de37ba2950,
+	checkPin(t, "repair", pinOf(rep), clockPin{359072, 0x3f32a2394261720b,
 		"fwd,fwd,fwd/1403 fwd,fwd,fwd/1090 fwd,fwd,fwd/2 fwd,fwd,fwd/0"})
 }

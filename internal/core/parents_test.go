@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gcbfs/internal/g500"
@@ -15,8 +16,8 @@ func runWithParents(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int
 	t.Helper()
 	opts.CollectLevels = true
 	opts.CollectParents = true
-	e := buildEngine(t, el, shape, th, opts)
-	res, err := e.Run(src)
+	e := buildPlan(t, el, shape, th, opts)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestParentPairsReported(t *testing.T) {
 	src := pickSources(el.OutDegrees(), 1, 2)[0]
 	opts := DefaultOptions()
 	opts.CollectParents = true
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 1<<40, opts)
-	res, err := e.Run(src)
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 1<<40, opts)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestParentPairsReported(t *testing.T) {
 
 func TestParentsOffByDefault(t *testing.T) {
 	el := gen.Path(8)
-	e := buildEngine(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
-	res, err := e.Run(0)
+	e := buildPlan(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
+	res, err := e.Run(context.Background(), 0, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +109,13 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 	base.WorkAmplification = 1 << 12
 	forced := base
 	forced.ForceTWBForDD = true
-	eBase := buildEngine(t, el, ClusterShape{2, 1, 2}, 4, base)
-	eForced := buildEngine(t, el, ClusterShape{2, 1, 2}, 4, forced)
-	rBase, err := eBase.Run(src)
+	eBase := buildPlan(t, el, ClusterShape{2, 1, 2}, 4, base)
+	eForced := buildPlan(t, el, ClusterShape{2, 1, 2}, 4, forced)
+	rBase, err := eBase.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rForced, err := eForced.Run(src)
+	rForced, err := eForced.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

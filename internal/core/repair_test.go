@@ -219,3 +219,56 @@ func TestRepairValidation(t *testing.T) {
 		t.Fatal("prior not rooted at source accepted")
 	}
 }
+
+// TestRepairChargesLikeRun repairs "from scratch": every vertex but the
+// source is invalidated, so the wave is a plain forward BFS driven through
+// the repair hooks. Each iteration must then charge exactly what Run's does
+// — on the hierarchical exchange (GPUsPerRank > 1), whose exposed NVLink
+// remainder folds into LocalComm, and on the flat one.
+func TestRepairChargesLikeRun(t *testing.T) {
+	ctx := context.Background()
+	el := rmat.Generate(rmat.DefaultParams(12))
+	source := repairSource(el)
+	for _, shape := range []ClusterShape{
+		{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2},
+		{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1},
+	} {
+		t.Run(shape.String(), func(t *testing.T) {
+			th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+			sg, err := partition.Distribute(el, partition.Separate(el, th), shape.PartitionConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlan(sg, shape, PlainBFSOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := p.Run(ctx, source, Overrides{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prior := make([]int32, sg.N)
+			invalid := make([]bool, sg.N)
+			for v := range prior {
+				prior[v], invalid[v] = -1, true
+			}
+			prior[source], invalid[source] = 0, false
+			rep, err := p.RunRepair(ctx, source, prior, invalid, nil, Overrides{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.PerIteration) != len(run.PerIteration) {
+				t.Fatalf("repair ran %d iterations, Run %d", len(rep.PerIteration), len(run.PerIteration))
+			}
+			for i, want := range run.PerIteration {
+				got := rep.PerIteration[i]
+				if got.Parts != want.Parts || got.Elapsed != want.Elapsed ||
+					got.EdgesScanned != want.EdgesScanned || got.BytesNormal != want.BytesNormal {
+					t.Errorf("iteration %d: repair charged parts %+v elapsed %g edges %d bytes %d,\n Run charged parts %+v elapsed %g edges %d bytes %d",
+						i, got.Parts, got.Elapsed, got.EdgesScanned, got.BytesNormal,
+						want.Parts, want.Elapsed, want.EdgesScanned, want.BytesNormal)
+				}
+			}
+		})
+	}
+}

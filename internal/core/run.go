@@ -18,6 +18,17 @@ import (
 // goroutines run the local kernels on their GPUs, reduce delegate masks
 // locally then globally, exchange binned normal vertices point-to-point,
 // and agree on termination — exactly the communication structure of §V.
+//
+// The same loop serves Plan.Run and Plan.RunRepair (repair.go): a repair is
+// this super-step under a strict-improvement visit condition. The hooks are
+// picked once per query from whether a repairInput is present — a prologue
+// (preload, probe, seed schedules, probe charge) instead of the source
+// seeding, seed injection at the top of each iteration, the repair kernels,
+// the improvement-filtered delegate commit, and repairApplyIDs as the
+// arrival apply. Policy, mask reduction, exchange, timing and sums are
+// shared, so both queries charge alike. Pending seed levels (up to hi) keep
+// the termination flag raised and feed the next frontier's counts; a plain
+// BFS has none (hi = -1).
 
 // recorder collects per-iteration statistics; only rank 0 writes to it, and
 // the main goroutine reads it after all ranks join.
@@ -59,7 +70,7 @@ func (p *Plan) Run(ctx context.Context, source int64, ov Overrides) (*metrics.Ru
 	}
 	s := p.acquire(opts)
 	defer p.release(s)
-	return s.run(ctx, source)
+	return s.run(ctx, source, nil)
 }
 
 // RunBatch executes one BFS per source with at most parallelism queries in
@@ -130,26 +141,28 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 	return results, nil
 }
 
-// run executes one BFS on this (already configured and exclusive) session.
-func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
+// run executes one query on this (already configured and exclusive) session:
+// a BFS from source, or with rep set, the corrective repair traversal.
+func (e *Session) run(ctx context.Context, source int64, rep *repairInput) (*metrics.RunResult, error) {
 	e.reset()
 
-	// Seed the search at depth 0.
-	srcIsDelegate := e.sg.Sep.IsDelegate(source)
-	if srcIsDelegate {
-		di := int64(e.sg.Sep.DelegateID[source])
-		for _, gs := range e.gpus {
-			gs.visited.Set(di)
-			gs.dFront.Set(di)
-			gs.delegateLevel[di] = 0
-		}
-	} else {
-		gs := e.gpus[e.cfg.OwnerGPU(source)]
-		local := e.cfg.LocalID(source)
-		gs.levels[local] = 0
-		gs.inFront = append(gs.inFront, local)
-		if gs.isNDSource[local] {
-			gs.unvisitedNDSources--
+	// Seed the search at depth 0 (a repair seeds in its per-rank prologue).
+	if rep == nil {
+		if e.sg.Sep.IsDelegate(source) {
+			di := int64(e.sg.Sep.DelegateID[source])
+			for _, gs := range e.gpus {
+				gs.visited.Set(di)
+				gs.dFront.Set(di)
+				gs.delegateLevel[di] = 0
+			}
+		} else {
+			gs := e.gpus[e.cfg.OwnerGPU(source)]
+			local := e.cfg.LocalID(source)
+			gs.levels[local] = 0
+			gs.inFront = append(gs.inFront, local)
+			if gs.isNDSource[local] {
+				gs.unvisitedNDSources--
+			}
 		}
 	}
 
@@ -163,8 +176,8 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer containRank(world, rank)
-			e.runRank(ctx, rank, world.Rank(rank), rec, pol, srcIsDelegate, source)
+			defer ContainRank(world, "core", rank)
+			e.runRank(ctx, rank, world.Rank(rank), rec, pol, source, rep)
 		}(r)
 	}
 	wg.Wait()
@@ -208,8 +221,9 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 }
 
 // runRank is the per-rank BSP loop ("the CPU thread that controls GPU0"
-// performs the global phases, §V-A).
-func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *recorder, pol *exchangePolicy, srcIsDelegate bool, source int64) {
+// performs the global phases, §V-A). rep is nil for a plain BFS; with it
+// set the loop runs the repair wave (see the file comment for the hooks).
+func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *recorder, pol *exchangePolicy, source int64, rep *repairInput) {
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
@@ -218,12 +232,34 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 	maskBytes := rankMask.ByteSize()
 	rx := sc.rx.bind(e, rank, sc)
 	cancelled := false
+	repair := rep != nil
+	apply := applyIDs
+	if repair {
+		apply = repairApplyIDs
+	}
 
-	// Input frontier sizes of the upcoming iteration (globally known), plus
-	// the previous iteration's measured volume — the policy's feedback.
+	// Iteration range: a plain BFS starts at 0 with no pending seed levels;
+	// a repair ascends from its lowest seed level and stays alive through
+	// its highest. Input frontier sizes of the upcoming iteration (globally
+	// known), plus the previous iteration's measured volume — the policy's
+	// feedback.
+	lo, hi := int64(0), int64(-1)
+	var nCounts, dCounts []int64
 	inputNormals, inputDelegates := int64(1), int64(0)
-	if srcIsDelegate {
+	if e.sg.Sep.IsDelegate(source) {
 		inputNormals, inputDelegates = 0, 1
+	}
+	if repair {
+		lo, hi, nCounts, dCounts = e.repairPrologue(rank, comm, rec, myGPUs, sc, rep)
+		if lo > hi {
+			// No seeds anywhere: the prior levels already are the new epoch's
+			// exact outcome (invalidated vertices, if any, are unreachable now).
+			if e.opts.CollectParents {
+				e.resolveParents(rank, comm, source)
+			}
+			return
+		}
+		inputNormals, inputDelegates = nCounts[lo], dCounts[lo]
 	}
 	prevNormals, prevOriginated := int64(0), int64(0)
 	// Measured-feedback state (skew ratio + per-strategy calibration):
@@ -237,12 +273,16 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		fb.seed(*e.opts.Warm)
 	}
 
-	for iter := int32(0); ; iter++ {
+	for iter := int32(lo); ; iter++ {
 		// ---- Fault injection (chaos testing): an armed injector may crash
 		// this rank at the iteration boundary — a real panic the containment
 		// boundary must recover and turn into an all-rank abort.
 		if in := e.opts.Inject; in != nil {
 			in.Crash(rank, int(iter), faults.SiteIter)
+		}
+		// ---- Repair seed injection (repair.go).
+		if repair {
+			injectRepairSeeds(myGPUs, sc, iter)
 		}
 		// ---- Exchange policy: every rank derives the identical strategy
 		// decision for this iteration from globally known inputs, the way
@@ -254,7 +294,11 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		sD := e.d - myGPUs[0].visited.Count()
 		for _, gs := range myGPUs {
 			gs.it = iterWork{}
-			e.runKernels(gs, iter, qD, sD)
+			if repair {
+				e.repairRunKernels(gs, iter)
+			} else {
+				e.runKernels(gs, iter, qD, sD)
+			}
 		}
 		dir0 := myGPUs[0]
 
@@ -271,12 +315,16 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		if anyGlobal {
 			comm.AllreduceOr(rankMask.Words())
 			maskExchanged = true
-			newDelegates = rankMask.Count()
-			for _, gs := range myGPUs {
-				rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
-				gs.visited.Or(rankMask)
-				gs.dFront.CopyFrom(rankMask)
-				gs.newMask.Reset()
+			if repair {
+				newDelegates = repairCommitDelegates(myGPUs, rankMask, iter)
+			} else {
+				newDelegates = rankMask.Count()
+				for _, gs := range myGPUs {
+					rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
+					gs.visited.Or(rankMask)
+					gs.dFront.CopyFrom(rankMask)
+					gs.newMask.Reset()
+				}
 			}
 		} else {
 			for _, gs := range myGPUs {
@@ -333,7 +381,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 				}
 				ids := src.bins.PerGPU[dstGPU]
 				intraBytes += 4 * int64(len(ids))
-				applyIDs(e.gpus[dstGPU], ids, iter+1)
+				apply(e.gpus[dstGPU], ids, iter+1)
 			}
 		}
 		// Remote arrivals apply in canonical ascending order so every
@@ -346,7 +394,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		var applied int64
 		for s, ids := range counts.arrivals {
 			applied += int64(len(ids))
-			sc.applySorted(myGPUs[s], ids, iter+1)
+			sc.applySorted(myGPUs[s], ids, iter+1, apply)
 		}
 		sentBytes, rawSentBytes := counts.sent, counts.sentRaw
 		// Scatter cost of applying received ids on the destination GPUs.
@@ -479,16 +527,16 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		}
 		elapsed := e.iterElapsed(parts)
 
-		// ---- Global sums: work stats, termination flag and the context
-		// observation (any rank seeing a dead context aborts all ranks on
-		// the same iteration).
+		// ---- Global sums: work stats, termination flag (kept alive through
+		// pending repair seed levels) and the context observation (any rank
+		// seeing a dead context aborts all ranks on the same iteration).
 		var nextNormals, edges int64
 		for _, gs := range myGPUs {
 			nextNormals += int64(len(gs.outFront))
 			edges += gs.it.edgesScanned
 		}
 		flag := int64(0)
-		if nextNormals > 0 || newDelegates > 0 {
+		if nextNormals > 0 || newDelegates > 0 || int64(iter)+1 <= hi {
 			flag = 1
 		}
 		ctxDead := int64(0)
@@ -567,6 +615,12 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		// prediction.
 		prevNormals, prevOriginated = inputNormals, sums[5]-sums[10]
 		inputNormals, inputDelegates = sums[2], newDelegates
+		// Repair seeds injecting at the next level are part of its known
+		// input frontier — fold their globally reduced counts in.
+		if next := int64(iter) + 1; next <= hi {
+			inputNormals += nCounts[next]
+			inputDelegates += dCounts[next]
+		}
 		// Measured feedback for the next decision: the reduced maximum
 		// per-rank originated volume over the mean (skew, gated on
 		// iterations that carried real payload — framing-dominated rounds

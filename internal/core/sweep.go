@@ -423,7 +423,7 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer containRank(world, rank)
+			defer ContainRank(world, "core", rank)
 			e.runRank(ctx, rank, world.Rank(rank), rec, parentsOut)
 		}(r)
 	}

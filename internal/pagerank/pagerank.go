@@ -14,7 +14,6 @@
 package pagerank
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -175,7 +174,7 @@ func (e *engine) run() (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer containRank(world, rank)
+			defer core.ContainRank(world, "pagerank", rank)
 			e.runRank(rank, world.Rank(rank))
 		}(r)
 	}
@@ -451,24 +450,6 @@ func armWorld(w *mpi.World, in *faults.Injector) {
 	w.SetSendHook(func(src, dst, tag int, data []byte) []byte {
 		return in.Payload(src, tag, faults.SiteExchange, data)
 	})
-}
-
-// containRank is the per-rank recover boundary: contained faults (corrupt
-// payloads, injected crashes) poison the world so every sibling rank unwinds
-// and the typed error reaches the caller; genuine bugs re-panic.
-func containRank(world *mpi.World, rank int) {
-	v := recover()
-	if v == nil {
-		return
-	}
-	if _, ok := mpi.AbortError(v); ok {
-		return
-	}
-	if err, ok := v.(error); ok && (errors.Is(err, wire.ErrCorrupt) || errors.Is(err, faults.ErrInjected)) {
-		world.Abort(fmt.Errorf("pagerank: rank %d: %w", rank, err))
-		return
-	}
-	panic(v)
 }
 
 // gather assembles the global rank vector.
